@@ -119,7 +119,7 @@ func (c *Central) DeleteDRed(t val.Tuple) error {
 		if !u.Equal(t) {
 			overdeleted.add(u)
 		}
-		ctx.deleted, ctx.deletedPred = &u, u.Pred
+		ctx.deleted = u
 		for _, st := range n.prog.strands[u.Pred] {
 			if st.isAgg {
 				continue

@@ -387,13 +387,13 @@ func newNodeCfg(id string, prog *program, opts Options, cfg nodeCfg) *Node {
 		for _, st := range sts {
 			if _, ok := n.res[st]; !ok {
 				r := &strandRes{
-					tbl: make([]*table.Table, len(st.atoms)),
-					idx: make([]*table.Index, len(st.atoms)),
+					tbl: make([]*table.Table, len(st.steps)),
+					idx: make([]*table.Index, len(st.steps)),
 				}
-				for i, a := range st.atoms {
-					r.tbl[i] = n.cat.Get(a.Pred)
-					if i != st.trigger && len(st.probeCols[i]) > 0 {
-						r.idx[i] = r.tbl[i].EnsureIndex(st.probeCols[i])
+				for d, step := range st.steps {
+					r.tbl[d] = n.cat.Get(st.atoms[step.atom].Pred)
+					if d > 0 && len(step.probeCols) > 0 {
+						r.idx[d] = r.tbl[d].EnsureIndex(step.probeCols)
 					}
 				}
 				n.res[st] = r
@@ -714,7 +714,7 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 		jb := &jobs[0]
 		ctx := &p.ctxs[0]
 		ctx.ltBefore, ctx.leAfter = jb.lt, jb.le
-		ctx.deleted, ctx.deletedPred = nil, ""
+		ctx.deleted = val.Tuple{}
 		n.runJob(ctx, jb)
 	} else {
 		workers := min(p.workers, len(jobs))
@@ -724,7 +724,7 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 			wg.Add(1)
 			go func(ctx *joinCtx) {
 				defer wg.Done()
-				ctx.deleted, ctx.deletedPred = nil, ""
+				ctx.deleted = val.Tuple{}
 				for {
 					j := int(next.Add(1)) - 1
 					if j >= len(jobs) {
@@ -765,7 +765,7 @@ func (n *Node) eventStrands(t val.Tuple, stamp uint64) {
 	if n.opts.OnStore != nil {
 		n.opts.OnStore(n.id, Insert(t), n.now)
 	}
-	n.runNormalStrands(+1, t, int64(stamp), int64(stamp), nil)
+	n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
 }
 
 // drainSN implements Algorithm 1: repeatedly flush the delta buffer,
@@ -827,7 +827,7 @@ func (n *Node) roundPar(inserts []val.Tuple, bound int64) {
 		wg.Add(1)
 		go func(ctx *joinCtx) {
 			defer wg.Done()
-			ctx.deleted, ctx.deletedPred = nil, ""
+			ctx.deleted = val.Tuple{}
 			for {
 				j := int(next.Add(1)) - 1
 				if j >= len(jobs) {
@@ -986,7 +986,7 @@ func (n *Node) afterInsert(t val.Tuple, stamp uint64, ltBefore, leAfter int64) {
 		return
 	}
 	n.markAdv(t)
-	n.runNormalStrands(+1, t, ltBefore, leAfter, nil)
+	n.runNormalStrands(+1, t, ltBefore, leAfter)
 }
 
 // afterInsertPre is the sequential half of post-insert processing:
@@ -1022,7 +1022,7 @@ func (n *Node) afterInsertPre(t val.Tuple, ltBefore, leAfter int64) bool {
 // incremental deltas.
 func (n *Node) refreshAdvertise(t val.Tuple, stamp uint64) {
 	n.markAdv(t)
-	n.runNormalStrands(+1, t, int64(stamp), int64(stamp), nil)
+	n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
 }
 
 func (n *Node) markAdv(t val.Tuple) {
@@ -1062,7 +1062,7 @@ func (n *Node) afterDelete(t val.Tuple, wasAdv bool, stamp uint64) {
 	// their derivation. wasAdv is not consulted here; it only guards
 	// double re-advertisement.
 	_ = wasAdv
-	n.runNormalStrands(-1, t, noLimit, noLimit, &t)
+	n.runNormalStrands(-1, t, noLimit, noLimit)
 
 	// Aggregate-selection fallback: the group's best may now be a stored
 	// tuple that was never advertised.
@@ -1101,7 +1101,7 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 		// Original stamp bounds: later-arriving partners already joined
 		// this tuple when they were deltas, so replaying with the old
 		// bounds derives each pair exactly once.
-		n.runNormalStrands(+1, e.Tuple, int64(e.Stamp), int64(e.Stamp), nil)
+		n.runNormalStrands(+1, e.Tuple, int64(e.Stamp), int64(e.Stamp))
 		return
 	}
 }
@@ -1162,10 +1162,10 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 	if !hasAgg {
 		return false, false
 	}
-	ctx := n.resetCtx(ltBefore, leAfter, nil)
-	if sign < 0 {
-		ctx = n.resetCtx(noLimit, noLimit, &t)
-	}
+	ctx := n.resetCtx(sign, t, ltBefore, leAfter)
+	// Each strand's pending changes start in a stack buffer sized for
+	// the usual few per delta.
+	var pendBuf [4]aggNetChange
 	for _, st := range strands {
 		if !st.isAgg {
 			continue
@@ -1181,7 +1181,7 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 		// the number of intermediate steps. That cascade is supercritical
 		// on lossy or churning runs and melts a node inside one drain.
 		// Only the first old -> last new transition per group is real.
-		var pend []aggNetChange
+		pend := pendBuf[:0]
 		err := st.run(ctx, t, func(d derived) {
 			contributed = true
 			fields := d.tuple.Fields
@@ -1208,9 +1208,13 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 					return
 				}
 			}
+			// One copy holds both the group key and the fields.
+			vals := make([]val.Value, 0, len(groupKey)+len(fields))
+			vals = append(append(vals, groupKey...), fields...)
+			g := len(groupKey)
 			pend = append(pend, aggNetChange{
-				group:  append([]val.Value(nil), groupKey...),
-				fields: append([]val.Value(nil), fields...),
+				group:  vals[:g:g],
+				fields: vals[g:],
 				pred:   d.tuple.Pred,
 				loc:    d.loc,
 				hadOld: ch.HadOld, oldV: ch.Old,
@@ -1294,25 +1298,22 @@ func (n *Node) aggHead(st *strand, pred string, fields []val.Value, aggVal val.V
 	return n.transientIn().ResolveH(st.code.headPredHash, pred, buf)
 }
 
-// resetCtx prepares the node's reusable join context for one delta.
-func (n *Node) resetCtx(ltBefore, leAfter int64, deleted *val.Tuple) *joinCtx {
-	n.jc.ltBefore = ltBefore
-	n.jc.leAfter = leAfter
-	n.jc.deleted = deleted
-	n.jc.deletedPred = ""
-	if deleted != nil {
-		n.jc.deletedPred = deleted.Pred
+// resetCtx prepares the node's reusable join context for delta t. A
+// retraction (sign < 0) joins without stamp bounds and with the
+// self-join correction for t.
+func (n *Node) resetCtx(sign int8, t val.Tuple, ltBefore, leAfter int64) *joinCtx {
+	if sign < 0 {
+		n.jc.ltBefore, n.jc.leAfter, n.jc.deleted = noLimit, noLimit, t
+	} else {
+		n.jc.ltBefore, n.jc.leAfter, n.jc.deleted = ltBefore, leAfter, val.Tuple{}
 	}
 	return &n.jc
 }
 
 // runNormalStrands executes the non-aggregate trigger strands for a
-// delta. deleted is non-nil for retractions (self-join correction).
-func (n *Node) runNormalStrands(sign int8, t val.Tuple, ltBefore, leAfter int64, deleted *val.Tuple) {
-	ctx := n.resetCtx(ltBefore, leAfter, nil)
-	if sign < 0 {
-		ctx = n.resetCtx(noLimit, noLimit, deleted)
-	}
+// delta.
+func (n *Node) runNormalStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) {
+	ctx := n.resetCtx(sign, t, ltBefore, leAfter)
 	d := Delta{Sign: sign, Tuple: t}
 	for _, st := range n.prog.strands[t.Pred] {
 		if st.isAgg {

@@ -154,13 +154,13 @@ func TestStrandCodeShape(t *testing.T) {
 	if code.tail[0].assignSlot < 0 || code.tail[1].assignSlot >= 0 {
 		t.Errorf("tail shape = %+v", code.tail)
 	}
-	// The non-trigger atom has a probe plan with every bound value
-	// sourced from a slot or a constant.
-	other := 1 - join.trigger
-	if len(join.probes[other]) == 0 {
-		t.Errorf("atom %d should have a probe plan", other)
+	// The non-trigger atom, joined at depth 1, has a probe plan with
+	// every bound value sourced from a slot or a constant.
+	other := join.steps[1]
+	if other.atom != 1-join.trigger || len(other.probe) == 0 {
+		t.Errorf("depth 1 should probe atom %d, got atom %d with plan %+v", 1-join.trigger, other.atom, other.probe)
 	}
-	for _, pa := range join.probes[other] {
+	for _, pa := range other.probe {
 		if pa.slot < 0 && pa.constVal.IsNil() {
 			t.Errorf("probe arg %+v has neither slot nor constant", pa)
 		}

@@ -202,7 +202,7 @@ func (n *Node) sweepDerivablePar(fn func(d derived)) {
 		go func(ctx *joinCtx) {
 			defer wg.Done()
 			ctx.ltBefore, ctx.leAfter = noLimit, noLimit
-			ctx.deleted, ctx.deletedPred = nil, ""
+			ctx.deleted = val.Tuple{}
 			for {
 				j := int(next.Add(1)) - 1
 				if j >= len(jobs) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"ndlog/internal/ast"
 	"ndlog/internal/funcs"
@@ -26,17 +27,28 @@ type strand struct {
 	// incremental GroupAgg machinery instead of join output.
 	isAgg  bool
 	aggIdx int // head aggregate argument position (isAgg only)
-	// probes[i] is the precomputed index-probe plan for atom i: which
-	// columns are bound when the join reaches that atom, and where each
-	// bound value comes from (a constant or an environment slot).
-	// Bound-ness is structural — it depends only on the trigger position
-	// and earlier atoms — so it is computed once at compile time instead
-	// of per delta. Empty for the trigger and for atoms with no bound
-	// columns (those fall back to a scan).
-	probes [][]probeArg
-	// probeCols[i] is the column list of probes[i], in probe order; it is
-	// the column set the per-node secondary index for atom i is built on.
-	probeCols [][]int
+	// steps is the join plan, one step per join depth: steps[0] is the
+	// trigger, then the other atoms in body order. Which columns are
+	// bound at a depth, and which tail ops can run there, depend only on
+	// the trigger position, so both are fixed at compile time.
+	steps []joinStep
+}
+
+// joinStep is one depth of a strand's join.
+type joinStep struct {
+	atom int // index into strand.atoms and ruleCode.args
+	// probe is the index-probe plan: which columns are bound when the
+	// join reaches this atom, and where each bound value comes from (a
+	// constant or an environment slot). Empty for the trigger and for
+	// atoms with no bound columns (those fall back to a scan).
+	probe []probeArg
+	// probeCols is probe's column list, in probe order: the column set
+	// the per-node secondary index for this atom is built on.
+	probeCols []int
+	// ops are the tail ops placed here: every slot they read is bound
+	// once this depth's atom has unified (see plan). They run in body
+	// order, right after the unification.
+	ops []tailOp
 }
 
 // ruleCode is the compiled, slot-addressed form of one localized rule.
@@ -54,7 +66,8 @@ type ruleCode struct {
 	// lowering does not depend on the trigger position).
 	args [][]slotArg
 	// tail holds assignments and selections in body order, with
-	// expressions compiled against the slot numbering.
+	// expressions compiled against the slot numbering. Each strand places
+	// them at join depths (joinStep.ops).
 	tail []tailOp
 	// head describes each head argument: a direct slot copy (variables
 	// and the aggregate position) or a compiled expression.
@@ -78,10 +91,12 @@ type slotArg struct {
 }
 
 // tailOp is one compiled tail term: an assignment binding a slot, or a
-// selection (assignSlot < 0) filtering the join.
+// selection (assignSlot < 0) filtering the join. reads lists the slots
+// the expression reads.
 type tailOp struct {
 	assignSlot int32
 	expr       *funcs.Compiled
+	reads      []int32
 }
 
 // headArg is one compiled head argument. slot >= 0 copies the slot's
@@ -140,13 +155,13 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 			if err != nil {
 				return nil, fmt.Errorf("engine: rule %s: %w", r.Label, err)
 			}
-			code.tail = append(code.tail, tailOp{assignSlot: int32(slot), expr: ce})
+			code.tail = append(code.tail, tailOp{assignSlot: int32(slot), expr: ce, reads: readSlots(x.Expr, sm)})
 		case *ast.Select:
 			ce, err := funcs.CompileExpr(x.Cond, sm.Slot)
 			if err != nil {
 				return nil, fmt.Errorf("engine: rule %s: %w", r.Label, err)
 			}
-			code.tail = append(code.tail, tailOp{assignSlot: -1, expr: ce})
+			code.tail = append(code.tail, tailOp{assignSlot: -1, expr: ce, reads: readSlots(x.Cond, sm)})
 		}
 	}
 
@@ -176,43 +191,82 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 	return code, nil
 }
 
-// computeProbes fills in the strand's probe plans. A column of atom i is
-// bound iff its argument is a constant or a variable (slot) that already
-// appears in the trigger atom or an earlier non-trigger atom.
-func (s *strand) computeProbes() {
-	bound := make([]bool, s.code.nslots)
-	for _, arg := range s.code.args[s.trigger] {
-		if arg.kind == argSlot {
-			bound[arg.slot] = true
+// readSlots lists the slots of the variables e reads, in ascending
+// order.
+func readSlots(e ast.Expr, sm *planner.SlotMap) []int32 {
+	var out []int32
+	for name := range ast.Vars(e) {
+		if slot, ok := sm.Slot(name); ok {
+			out = append(out, int32(slot))
 		}
 	}
-	s.probes = make([][]probeArg, len(s.atoms))
-	s.probeCols = make([][]int, len(s.atoms))
+	slices.Sort(out)
+	return out
+}
+
+// plan builds the strand's join steps: the trigger at depth 0, then the
+// other atoms in body order, each with its probe plan, and the tail ops
+// placed at the earliest depth where every slot they read is bound. A
+// column is bound at a depth iff its argument is a constant or a
+// variable that an earlier depth's atom binds.
+func (s *strand) plan() {
+	depth := make([]int, s.code.nslots) // slot -> depth binding it, -1 unbound
+	for i := range depth {
+		depth[i] = -1
+	}
+	order := make([]int, 0, len(s.atoms))
+	order = append(order, s.trigger)
 	for i := range s.atoms {
-		if i == s.trigger {
-			continue
+		if i != s.trigger {
+			order = append(order, i)
 		}
-		var probe []probeArg
-		var cols []int
+	}
+	s.steps = make([]joinStep, len(order))
+	for d, i := range order {
+		step := &s.steps[d]
+		step.atom = i
 		for col, arg := range s.code.args[i] {
-			switch arg.kind {
-			case argSlot:
-				if bound[arg.slot] {
-					probe = append(probe, probeArg{col: col, slot: arg.slot})
-					cols = append(cols, col)
-				}
-			case argConst:
-				probe = append(probe, probeArg{col: col, slot: -1, constVal: arg.constVal})
-				cols = append(cols, col)
+			switch {
+			case d == 0: // the trigger unifies with the delta; nothing probes it
+			case arg.kind == argSlot && depth[arg.slot] >= 0:
+				step.probe = append(step.probe, probeArg{col: col, slot: arg.slot})
+				step.probeCols = append(step.probeCols, col)
+			case arg.kind == argConst:
+				step.probe = append(step.probe, probeArg{col: col, slot: -1, constVal: arg.constVal})
+				step.probeCols = append(step.probeCols, col)
 			}
 		}
-		s.probes[i] = probe
-		s.probeCols[i] = cols
 		for _, arg := range s.code.args[i] {
-			if arg.kind == argSlot {
-				bound[arg.slot] = true
+			if arg.kind == argSlot && depth[arg.slot] < 0 {
+				depth[arg.slot] = d
 			}
 		}
+	}
+
+	// An op reading no slot runs at the trigger. An assignment binds its
+	// target at its own depth, so the ops reading it land there or
+	// deeper; ops sharing a depth keep body order. Assignments are placed
+	// first because the planner lets a selection read a variable that a
+	// later assignment binds.
+	at := make([]int, len(s.code.tail))
+	place := func(op tailOp) int {
+		d := 0
+		for _, r := range op.reads {
+			d = max(d, depth[r])
+		}
+		return d
+	}
+	for i, op := range s.code.tail {
+		if op.assignSlot >= 0 {
+			at[i] = place(op)
+			depth[op.assignSlot] = at[i]
+		}
+	}
+	for i, op := range s.code.tail {
+		if op.assignSlot < 0 {
+			at[i] = place(op)
+		}
+		s.steps[at[i]].ops = append(s.steps[at[i]].ops, op)
 	}
 }
 
@@ -309,7 +363,7 @@ func compile(prog *ast.Program) (*program, error) {
 				isAgg:   aggIdx >= 0,
 				aggIdx:  aggIdx,
 			}
-			st.computeProbes()
+			st.plan()
 			p.strands[atoms[i].Pred] = append(p.strands[atoms[i].Pred], st)
 		}
 	}
@@ -355,10 +409,23 @@ func (ctx *joinCtx) bind(slot int32, v val.Value) {
 	ctx.tr = append(ctx.tr, slot)
 }
 
-// unwind rolls the environment back to trail position mark.
+// deferErr records a tail op's evaluation error for the current branch.
+// A trail entry of -1 marks it, so unwinding past the op drops the
+// error together with the branch's bindings.
+func (ctx *joinCtx) deferErr(err error) {
+	ctx.errs = append(ctx.errs, err)
+	ctx.tr = append(ctx.tr, -1)
+}
+
+// unwind rolls the environment and the deferred errors back to trail
+// position mark.
 func (ctx *joinCtx) unwind(mark int) {
 	for i := len(ctx.tr) - 1; i >= mark; i-- {
-		ctx.env.Unbind(int(ctx.tr[i]))
+		if slot := ctx.tr[i]; slot >= 0 {
+			ctx.env.Unbind(int(slot))
+		} else {
+			ctx.errs = ctx.errs[:len(ctx.errs)-1]
+		}
 	}
 	ctx.tr = ctx.tr[:mark]
 }
@@ -421,11 +488,11 @@ type joinCtx struct {
 	ltBefore int64
 	// leAfter bounds atoms at positions > trigger: Stamp <= leAfter.
 	leAfter int64
-	// deleted is the tuple being retracted (deletions only). For
-	// counting correctness in self-joins, atoms after the trigger with
-	// the same predicate also match the deleted tuple itself.
-	deleted     *val.Tuple
-	deletedPred string
+	// deleted is the tuple being retracted (deletions only; the zero
+	// tuple otherwise). For counting correctness in self-joins, atoms
+	// after the trigger with the same predicate also match the deleted
+	// tuple itself.
+	deleted val.Tuple
 	// res resolves a strand's per-atom table and index handles at this
 	// node (strands are shared across nodes; tables are not). nil falls
 	// back to Catalog.Get / EnsureIndex per probe.
@@ -436,6 +503,9 @@ type joinCtx struct {
 	// (slot indices to unbind); run resets them per delta.
 	env *funcs.SlotEnv
 	tr  []int32
+	// errs are the evaluation errors deferred on the current branch, in
+	// the order they occurred (see runOps); each has a -1 trail entry.
+	errs []error
 	// in, when non-nil, resolves instantiated head tuples to their
 	// canonical interned copy; headBuf is the reusable instantiation
 	// buffer that makes repeated derivations allocation-free (the
@@ -446,7 +516,7 @@ type joinCtx struct {
 
 // strandRes is one node's resolved handles for one strand: the table
 // and (where the probe plan has bound columns) the secondary index of
-// each body atom.
+// the atom at each join depth.
 type strandRes struct {
 	tbl []*table.Table
 	idx []*table.Index
@@ -464,6 +534,7 @@ func (s *strand) run(ctx *joinCtx, delta val.Tuple, emit func(derived)) error {
 	}
 	ctx.env.Reset()
 	ctx.tr = ctx.tr[:0]
+	ctx.errs = ctx.errs[:0]
 	ctx.cur = nil
 	if ctx.res != nil {
 		ctx.cur = ctx.res[s]
@@ -471,22 +542,84 @@ func (s *strand) run(ctx *joinCtx, delta val.Tuple, emit func(derived)) error {
 	if !unifySlots(s.code.args[s.trigger], delta, ctx.env) {
 		return nil
 	}
-	return s.joinFrom(ctx, 0, emit)
+	return s.advance(ctx, 0, emit)
 }
 
-// joinFrom joins the remaining atoms (skipping the trigger) depth-first
-// in body order, then evaluates assignments/selections and the head.
-func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
-	if idx == len(s.atoms) {
-		return s.finish(ctx, emit)
+// advance continues a branch whose atom at depth d has just unified:
+// it runs the ops placed at d, then joins the next depth or, after the
+// last one, instantiates the head.
+func (s *strand) advance(ctx *joinCtx, d int, emit func(derived)) error {
+	if ops := s.steps[d].ops; len(ops) > 0 && !ctx.runOps(ops) {
+		return nil
 	}
-	if idx == s.trigger {
-		return s.joinFrom(ctx, idx+1, emit)
+	if d+1 < len(s.steps) {
+		return s.joinFrom(ctx, d+1, emit)
 	}
+	if len(ctx.errs) > 0 {
+		return fmt.Errorf("rule %s: %w", s.rule.Label, ctx.errs[0])
+	}
+	head, err := s.instantiateHead(ctx)
+	if err != nil {
+		return err
+	}
+	emit(derived{tuple: head, loc: head.Loc()})
+	return nil
+}
+
+// runOps evaluates one depth's ops, binding assignments on the trail so
+// that sibling candidates see a clean environment. It reports false when
+// a selection rejects the branch. An op that fails to evaluate does not
+// fail the strand here, since no later atom may extend this partial
+// binding: the error is deferred on the trail and raised only if the
+// branch reaches the head. The failed op is skipped, and so is every op
+// that reads a slot it left unbound.
+func (ctx *joinCtx) runOps(ops []tailOp) bool {
+	for i := range ops {
+		op := &ops[i]
+		if len(ctx.errs) > 0 && ctx.readsUnbound(op) {
+			continue
+		}
+		if op.assignSlot >= 0 {
+			v, err := op.expr.Eval(ctx.env)
+			if err != nil {
+				ctx.deferErr(err)
+				continue
+			}
+			ctx.bind(op.assignSlot, v)
+		} else {
+			ok, err := op.expr.EvalBool(ctx.env)
+			if err != nil {
+				ctx.deferErr(err)
+				continue
+			}
+			if !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// readsUnbound reports whether op reads a slot that is not bound. Once
+// placed, an op's inputs are bound unless an assignment failed.
+func (ctx *joinCtx) readsUnbound(op *tailOp) bool {
+	for _, r := range op.reads {
+		if !ctx.env.Bound(int(r)) {
+			return true
+		}
+	}
+	return false
+}
+
+// joinFrom joins the atom at depth d depth-first against every stored
+// entry its probe admits, advancing each branch that unifies.
+func (s *strand) joinFrom(ctx *joinCtx, d int, emit func(derived)) error {
+	step := &s.steps[d]
+	idx := step.atom
 	args := s.code.args[idx]
 	var tbl *table.Table
 	if ctx.cur != nil {
-		tbl = ctx.cur.tbl[idx]
+		tbl = ctx.cur.tbl[d]
 	} else {
 		tbl = ctx.cat.Get(s.atoms[idx].Pred)
 	}
@@ -504,12 +637,12 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 			ctx.unwind(mark)
 			return nil
 		}
-		err := s.joinFrom(ctx, idx+1, emit)
+		err := s.advance(ctx, d, emit)
 		ctx.unwind(mark)
 		return err
 	}
 
-	if probe := s.probes[idx]; len(probe) > 0 {
+	if probe := step.probe; len(probe) > 0 {
 		// Hash the bound columns and walk the matching index bucket. A
 		// hash collision admits a non-matching entry, but unifyTr checks
 		// every bound column again, so collisions are filtered here.
@@ -522,10 +655,10 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 			}
 		}
 		var ix *table.Index
-		if ctx.cur != nil && ctx.cur.idx[idx] != nil {
-			ix = ctx.cur.idx[idx]
+		if ctx.cur != nil && ctx.cur.idx[d] != nil {
+			ix = ctx.cur.idx[d]
 		} else {
-			ix = tbl.EnsureIndex(s.probeCols[idx])
+			ix = tbl.EnsureIndex(step.probeCols)
 		}
 		for _, e := range ix.Bucket(h.Sum()) {
 			if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
@@ -548,43 +681,11 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 
 	// Deletion self-join correction: the retracted tuple still counts as
 	// a join partner for later occurrences of its own predicate.
-	if ctx.deleted != nil && s.atoms[idx].Pred == ctx.deletedPred && idx > s.trigger {
-		if err := tryEntry(*ctx.deleted, -1); err != nil {
+	if s.atoms[idx].Pred == ctx.deleted.Pred && idx > s.trigger {
+		if err := tryEntry(ctx.deleted, -1); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// finish evaluates the tail (assignments, selections) and instantiates
-// the head. Aggregate rules stop before head instantiation; the caller
-// routes them through GroupAgg. Assignment bindings go on the trail so
-// sibling join candidates see a clean environment.
-func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
-	mark := len(ctx.tr)
-	defer ctx.unwind(mark)
-	for _, op := range s.code.tail {
-		if op.assignSlot >= 0 {
-			v, err := op.expr.Eval(ctx.env)
-			if err != nil {
-				return fmt.Errorf("rule %s: %w", s.rule.Label, err)
-			}
-			ctx.bind(op.assignSlot, v)
-		} else {
-			ok, err := op.expr.EvalBool(ctx.env)
-			if err != nil {
-				return fmt.Errorf("rule %s: %w", s.rule.Label, err)
-			}
-			if !ok {
-				return nil
-			}
-		}
-	}
-	head, err := s.instantiateHead(ctx)
-	if err != nil {
-		return err
-	}
-	emit(derived{tuple: head, loc: head.Loc()})
 	return nil
 }
 
@@ -594,7 +695,9 @@ func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
 // it, so re-derivations (semi-naïve rounds, soft-state refreshes, count
 // cancellations) allocate nothing here. For aggregate rules, the
 // aggregate position receives the raw aggregated variable's value; the
-// caller replaces it with the group aggregate.
+// caller replaces it with the group aggregate. Their head is returned
+// over headBuf itself, valid until the next instantiation: only
+// runAggStrands runs aggregate strands, and it copies what it keeps.
 func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 	n := len(s.code.head)
 	if cap(ctx.headBuf) < n {
@@ -620,6 +723,9 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 			return val.Tuple{}, fmt.Errorf("rule %s head: %w", s.rule.Label, err)
 		}
 		fields[i] = v
+	}
+	if s.isAgg {
+		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fields}, nil
 	}
 	if ctx.in != nil && val.InternWorthy(fields) {
 		// Resolve, not intern: most instantiated heads are explored once

@@ -98,13 +98,19 @@ func TestStatsHammer(t *testing.T) {
 					return
 				default:
 				}
+				// Read the per-destination tallies before the total:
+				// countSent bumps the total first, so every send counted in
+				// this SentTo snapshot is already in the Stats read after
+				// it, while sends landing between the reads only raise the
+				// total.
+				sentTo := r.SentTo()
 				s := r.Stats()
 				if s.SentMessages < 0 || s.RecvMessages < 0 {
 					t.Error("negative counter snapshot")
 					return
 				}
 				var total int64
-				for _, n := range r.SentTo() {
+				for _, n := range sentTo {
 					total += n
 				}
 				if total > s.SentMessages {
